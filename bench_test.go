@@ -5,7 +5,6 @@
 package nucache_test
 
 import (
-	"runtime"
 	"testing"
 
 	"nucache/internal/cache"
@@ -161,137 +160,6 @@ func BenchmarkHotReplayStep(b *testing.B) {
 	}
 	if events > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-	}
-}
-
-// gridBenchSetup records an E6-shaped dual-core tape set (the first
-// standard 2-core mix at bench budget) and returns builders for the
-// standard policy lineup — the workload of the one-pass grid gate.
-func gridBenchSetup(b *testing.B) (cpu.Config, []*cpu.Tape, func() []cache.Policy) {
-	b.Helper()
-	cfg := cpu.DefaultConfig(2)
-	cfg.InstrBudget = 200_000
-	mix := workload.MixesFor(2)[0]
-	tapes := make([]*cpu.Tape, len(mix.Members))
-	for i, name := range mix.Members {
-		tapes[i] = cpu.NewTape(cfg, workload.MustByName(name).Stream(1+uint64(i)))
-	}
-	specs := experiments.StandardPolicies()
-	pols := func() []cache.Policy {
-		out := make([]cache.Policy, len(specs))
-		for i, s := range specs {
-			out[i] = s.New(cfg.Cores, cfg.LLC.Ways)
-		}
-		return out
-	}
-	// Record the tapes outside any timed region.
-	if _, err := cpu.NewMultiReplaySystem(cfg, pols(), tapes).Run(); err != nil {
-		b.Fatal(err)
-	}
-	return cfg, tapes, pols
-}
-
-// BenchmarkGridReplay replays the whole standard policy grid in a
-// single tape walk; BenchmarkGridReplaySerial replays the same grid as
-// N independent single-policy walks. Their ratio is the one-pass
-// speedup, enforced as a floor by CI (cmd/benchgate -floor); ns/op is
-// also gated against regressions like the Hot* benchmarks.
-func BenchmarkGridReplay(b *testing.B) {
-	cfg, tapes, pols := gridBenchSetup(b)
-	b.ResetTimer()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		ms := cpu.NewMultiReplaySystem(cfg, pols(), tapes)
-		res, err := ms.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = 0
-		for _, laneRes := range res {
-			for _, r := range laneRes {
-				events += r.LLCAccesses
-			}
-		}
-	}
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event-lane")
-	}
-}
-
-func BenchmarkGridReplaySerial(b *testing.B) {
-	cfg, tapes, pols := gridBenchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pol := range pols() {
-			rs := cpu.NewReplaySystem(cfg, pol, tapes)
-			if _, err := rs.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkGridReplayParallel steps the same grid with lanes on worker
-// goroutines (one per available CPU, capped at the lane count). On a
-// single-CPU runner RunParallel degrades to the serial round-robin, so
-// the CI floor against BenchmarkGridReplay is 1.00 — no regression —
-// rather than a speedup demand the runner cannot meet.
-func BenchmarkGridReplayParallel(b *testing.B) {
-	cfg, tapes, pols := gridBenchSetup(b)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms := cpu.NewMultiReplaySystem(cfg, pols(), tapes)
-		if _, err := ms.RunParallel(workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotLookupMiss isolates the SWAR packed-tag probe on its
-// worst case: every access is a compulsory miss (strictly increasing
-// line addresses never repeat), so lookup scans the whole set's partial
-// words, finds no candidate, and Access falls through to fill+evict.
-func BenchmarkHotLookupMiss(b *testing.B) {
-	// 32-way: wide enough that Access probes through the filter rather
-	// than the narrow-cache linear scan (see swarMinWays). Random
-	// replacement because LRU's packed state caps at 16 ways. The
-	// prefill fills every set (high addresses that the timed loop never
-	// revisits), so each timed access is a full-set miss.
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 1 << 20, Ways: 32, LineBytes: 64, Cores: 1,
-	}, policy.NewRandom(1))
-	req := cache.Request{Kind: trace.Load, PC: 0x400000}
-	sets := c.NumSets()
-	for i := 0; i < sets*32; i++ {
-		req.Addr = 1<<40 + uint64(i)*64
-		c.Access(&req)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Addr = uint64(i) * 64
-		c.Access(&req)
-	}
-}
-
-// BenchmarkHotLookupHit is the complementary probe: the working set
-// exactly fills capacity (sequential lines land 32 per set), so after
-// warmup every set is full and every access is a hit confirmed through
-// the partial-tag filter.
-func BenchmarkHotLookupHit(b *testing.B) {
-	c := cache.New(cache.Config{
-		Name: "bench", SizeBytes: 1 << 20, Ways: 32, LineBytes: 64, Cores: 1,
-	}, policy.NewRandom(1))
-	req := cache.Request{Kind: trace.Load, PC: 0x400000}
-	lines := c.NumSets() * 32
-	for i := 0; i < lines; i++ {
-		req.Addr = uint64(i) * 64
-		c.Access(&req)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.Addr = uint64(i%lines) * 64
-		c.Access(&req)
 	}
 }
 

@@ -87,66 +87,6 @@ func Parse(output string) map[string]*Aggregate {
 	return runs
 }
 
-// FloorSpec is one -floor assertion: the mean ns/op of Num divided by
-// the mean ns/op of Den (both from the HEAD log only) must stay at or
-// above Min. It gates relative speedups that have no base-side
-// counterpart — e.g. the serial-vs-one-pass grid replay ratio, where
-// both benchmarks live in the same head commit.
-type FloorSpec struct {
-	Num string  `json:"num"`
-	Den string  `json:"den"`
-	Min float64 `json:"min"`
-}
-
-// ParseFloor parses "BenchName/BenchName=1.5" into a FloorSpec.
-func ParseFloor(s string) (FloorSpec, error) {
-	name, minStr, ok := strings.Cut(s, "=")
-	if !ok {
-		return FloorSpec{}, fmt.Errorf("floor %q: want NUM/DEN=MIN", s)
-	}
-	num, den, ok := strings.Cut(name, "/")
-	if !ok || num == "" || den == "" {
-		return FloorSpec{}, fmt.Errorf("floor %q: want NUM/DEN=MIN", s)
-	}
-	min, err := strconv.ParseFloat(minStr, 64)
-	if err != nil || min <= 0 {
-		return FloorSpec{}, fmt.Errorf("floor %q: bad minimum %q", s, minStr)
-	}
-	return FloorSpec{Num: num, Den: den, Min: min}, nil
-}
-
-// FloorResult is one evaluated -floor assertion.
-type FloorResult struct {
-	FloorSpec
-	Ratio float64 `json:"ratio"`
-	OK    bool    `json:"ok"`
-}
-
-// CheckFloor evaluates one floor against the head aggregates. A missing
-// or zero-time benchmark is an error (the caller exits 2: the gate is
-// misconfigured, not failing).
-func CheckFloor(head map[string]*Aggregate, f FloorSpec) (FloorResult, error) {
-	num, ok := head[f.Num]
-	if !ok || num.NsPerOp() == 0 {
-		return FloorResult{}, fmt.Errorf("floor %s/%s: benchmark %s missing from head log", f.Num, f.Den, f.Num)
-	}
-	den, ok := head[f.Den]
-	if !ok || den.NsPerOp() == 0 {
-		return FloorResult{}, fmt.Errorf("floor %s/%s: benchmark %s missing from head log", f.Num, f.Den, f.Den)
-	}
-	ratio := num.NsPerOp() / den.NsPerOp()
-	return FloorResult{FloorSpec: f, Ratio: ratio, OK: ratio >= f.Min}, nil
-}
-
-// String renders the floor check as one log line.
-func (r FloorResult) String() string {
-	status := "ok"
-	if !r.OK {
-		status = "below floor"
-	}
-	return fmt.Sprintf("%s / %s = %.2fx (floor %.2fx)  %s", r.Num, r.Den, r.Ratio, r.Min, status)
-}
-
 // Result is one benchmark's base-vs-head comparison.
 type Result struct {
 	Name       string  `json:"name"`
@@ -177,8 +117,6 @@ type Report struct {
 	New         int      `json:"new"`
 	Results     []Result `json:"results"`
 	Regressions []string `json:"regressions,omitempty"`
-	// Floors holds the evaluated -floor assertions (head-only ratios).
-	Floors []FloorResult `json:"floors,omitempty"`
 }
 
 // Compare matches head benchmarks against base and flags regressions: a

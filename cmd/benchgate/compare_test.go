@@ -111,49 +111,6 @@ func TestResultStringMentionsStatus(t *testing.T) {
 	}
 }
 
-func TestParseFloor(t *testing.T) {
-	f, err := ParseFloor("BenchmarkGridReplaySerial/BenchmarkGridReplay=0.9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Num != "BenchmarkGridReplaySerial" || f.Den != "BenchmarkGridReplay" || f.Min != 0.9 {
-		t.Fatalf("parsed %+v", f)
-	}
-	for _, bad := range []string{"", "A/B", "A=1.5", "/B=1", "A/=1", "A/B=0", "A/B=-1", "A/B=x"} {
-		if _, err := ParseFloor(bad); err == nil {
-			t.Errorf("ParseFloor(%q) accepted", bad)
-		}
-	}
-}
-
-func TestCheckFloor(t *testing.T) {
-	head := Parse("BenchmarkSlow 10 200 ns/op\nBenchmarkFast 10 100 ns/op\n")
-
-	res, err := CheckFloor(head, FloorSpec{Num: "BenchmarkSlow", Den: "BenchmarkFast", Min: 1.5})
-	if err != nil || !res.OK || math.Abs(res.Ratio-2.0) > 1e-9 {
-		t.Fatalf("2.0x vs floor 1.5: res %+v err %v", res, err)
-	}
-	if s := res.String(); !strings.Contains(s, "2.00x") || !strings.Contains(s, "ok") {
-		t.Errorf("log line %q missing ratio or status", s)
-	}
-
-	res, err = CheckFloor(head, FloorSpec{Num: "BenchmarkSlow", Den: "BenchmarkFast", Min: 2.5})
-	if err != nil || res.OK {
-		t.Fatalf("2.0x vs floor 2.5 passed: res %+v err %v", res, err)
-	}
-	if s := res.String(); !strings.Contains(s, "below floor") {
-		t.Errorf("failed floor log line %q does not say so", s)
-	}
-
-	// A missing benchmark is a configuration error, not a failed floor.
-	if _, err := CheckFloor(head, FloorSpec{Num: "BenchmarkGone", Den: "BenchmarkFast", Min: 1}); err == nil {
-		t.Error("missing numerator accepted")
-	}
-	if _, err := CheckFloor(head, FloorSpec{Num: "BenchmarkSlow", Den: "BenchmarkGone", Min: 1}); err == nil {
-		t.Error("missing denominator accepted")
-	}
-}
-
 func keys(m map[string]*Aggregate) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

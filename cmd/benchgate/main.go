@@ -13,13 +13,7 @@
 //
 // Usage:
 //
-// A -floor asserts a head-only ratio between two benchmarks from the
-// same head log — "the serial grid walk must cost at least MIN times the
-// one-pass walk" — for speedups that have no base-side benchmark to
-// diff against:
-//
 //	benchgate -base base.txt -head head.txt [-threshold 0.10] [-out compare.json]
-//	benchgate -base base.txt -head head.txt -floor 'BenchmarkGridReplaySerial/BenchmarkGridReplay=0.9'
 package main
 
 import (
@@ -29,19 +23,11 @@ import (
 	"os"
 )
 
-// floorFlags collects repeated -floor values.
-type floorFlags []string
-
-func (f *floorFlags) String() string     { return fmt.Sprint(*f) }
-func (f *floorFlags) Set(s string) error { *f = append(*f, s); return nil }
-
 func main() {
 	base := flag.String("base", "", "bench output of the base commit (required)")
 	head := flag.String("head", "", "bench output of the head commit (required)")
 	threshold := flag.Float64("threshold", 0.10, "maximum allowed fractional ns/op regression")
 	out := flag.String("out", "", "write the JSON comparison report here (optional)")
-	var floors floorFlags
-	flag.Var(&floors, "floor", "head-only ratio assertion NUM/DEN=MIN: mean ns/op of NUM over DEN must stay >= MIN (repeatable)")
 	flag.Parse()
 
 	if *base == "" || *head == "" {
@@ -71,25 +57,6 @@ func main() {
 		fmt.Println(r.String())
 	}
 
-	floorFailed := false
-	for _, spec := range floors {
-		f, err := ParseFloor(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := CheckFloor(headRuns, f)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Println(res.String())
-		report.Floors = append(report.Floors, res)
-		if !res.OK {
-			floorFailed = true
-		}
-	}
-
 	if *out != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -102,23 +69,13 @@ func main() {
 		}
 	}
 
-	if len(report.Regressions) > 0 || floorFailed {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %d benchmark(s) regressed beyond %.0f%%, %d floor(s) missed\n",
-			len(report.Regressions), *threshold*100, countMissed(report.Floors))
+	if len(report.Regressions) > 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %d benchmark(s) regressed beyond %.0f%%\n",
+			len(report.Regressions), *threshold*100)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: ok (%d compared, %d new, %d floors, threshold %.0f%%)\n",
-		report.Compared, report.New, len(report.Floors), *threshold*100)
-}
-
-func countMissed(floors []FloorResult) int {
-	n := 0
-	for _, f := range floors {
-		if !f.OK {
-			n++
-		}
-	}
-	return n
+	fmt.Printf("benchgate: ok (%d compared, %d new, threshold %.0f%%)\n",
+		report.Compared, report.New, *threshold*100)
 }
 
 func parseFile(path string) (map[string]*Aggregate, error) {

@@ -151,14 +151,6 @@ func TestSimEndpoint(t *testing.T) {
 		ChecksumFails   *int64 `json:"nucache_cache_checksum_fails"`
 		TapeChecksums   *int64 `json:"nucache_tape_checksum_fails"`
 		FailpointsFired *int64 `json:"nucache_failpoints_fired"`
-		// One-pass grid counters: published from process start; a
-		// single-policy /v1/sim leaves them at zero.
-		MultiRuns  *int64 `json:"nucache_multireplay_runs"`
-		MultiLanes *int64 `json:"nucache_multireplay_lanes"`
-		// Parallel lane stepping rides inside the multi path, so a
-		// single-policy /v1/sim leaves these at zero too.
-		ParallelRuns *int64 `json:"nucache_multireplay_parallel_runs"`
-		LaneWorkers  *int64 `json:"nucache_multireplay_lane_workers"`
 	}
 	if err := json.NewDecoder(dv.Body).Decode(&vars); err != nil {
 		t.Fatalf("expvars: %v", err)
@@ -170,18 +162,6 @@ func TestSimEndpoint(t *testing.T) {
 	if vars.ChecksumFails == nil || vars.TapeChecksums == nil || vars.FailpointsFired == nil {
 		t.Fatalf("integrity expvars missing from /debug/vars: cache=%v tape=%v failpoints=%v",
 			vars.ChecksumFails, vars.TapeChecksums, vars.FailpointsFired)
-	}
-	if vars.MultiRuns == nil || vars.MultiLanes == nil {
-		t.Fatalf("multireplay expvars missing from /debug/vars: runs=%v lanes=%v",
-			vars.MultiRuns, vars.MultiLanes)
-	}
-	if vars.ParallelRuns == nil || vars.LaneWorkers == nil {
-		t.Fatalf("parallel-lane expvars missing from /debug/vars: runs=%v workers=%v",
-			vars.ParallelRuns, vars.LaneWorkers)
-	}
-	if *vars.ParallelRuns != 0 || *vars.LaneWorkers != 0 {
-		t.Fatalf("parallel-lane counters moved on single-policy sims: runs=%d workers=%d",
-			*vars.ParallelRuns, *vars.LaneWorkers)
 	}
 	if *vars.ChecksumFails != 0 || *vars.TapeChecksums != 0 || *vars.FailpointsFired != 0 {
 		t.Fatalf("integrity counters moved on a healthy server: cache=%d tape=%d failpoints=%d",

@@ -22,7 +22,7 @@ import (
 )
 
 // distBudget sizes the distributed chaos workload: big enough that a
-// serialized local pass (-parallel 1 -nomultireplay) takes seconds, so
+// serialized local pass (-parallel 1) takes seconds, so
 // worker processes spawned a beat after the coordinator announces its
 // address reliably lease cells from the back of the queue before the
 // local sweep reaches them.
@@ -30,13 +30,13 @@ const distBudget = "300000"
 
 // distSweepArgs is sweepArgs for the distributed suite: same grid (2
 // mixes x 6 specs = 12 cells), heavier budget, local execution forced
-// serial and per-cell. Output is bit-identical across those switches,
+// serial. Output is bit-identical across worker counts,
 // so distributed runs still compare against the (fast, parallel)
 // golden byte for byte.
 func distSweepArgs(journalPath string, resume bool, extra ...string) []string {
 	args := append([]string{
 		"-sweep", "deliways", "-budget", distBudget, "-mixlimit", "2",
-		"-parallel", "1", "-nomultireplay", "-journal", journalPath,
+		"-parallel", "1", "-journal", journalPath,
 	}, extra...)
 	if resume {
 		args = append(args, "-resume")

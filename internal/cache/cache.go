@@ -85,26 +85,6 @@ type Cache struct {
 	// or Valid), so they cannot drift.
 	tags []uint64 // sets*ways, indexed set*ways+way
 
-	// ptags is the SWAR prefilter in front of the tags mirror: one
-	// 8-bit partial tag per way, eight ways per word, so lookup can
-	// compare a whole set (up to 8 ways) in a couple of word ops and
-	// confirm only the matching bytes against full tags. Invariant,
-	// maintained by the same two mutators as the mirrors above but only
-	// while swar is set (narrow caches never read the filter, so they
-	// skip the upkeep store per fill): for every way with its validMask
-	// bit set, the byte at ptags[set*pwords+way/8], lane way%8, equals
-	// uint8(Tag>>pshift); invalid ways hold 0. pshift skips the
-	// set-index bits of the tag (constant within a set, so they carry
-	// no information) — and because a valid zero partial tag or a
-	// cleared byte can still collide with a probe, the filter may
-	// produce false-positive candidates but never false negatives; the
-	// full-tag + validMask confirmation makes that harmless.
-	ptags    []uint64 // sets*pwords, indexed set*pwords+way/8
-	pwords   int      // ptag words per set: (ways+7)/8
-	pshift   uint     // partial tag = uint8(tag >> pshift)
-	fullMask uint64   // validMask value of a fully occupied set
-	swar     bool     // probe through the filter (wide caches only)
-
 	// Stats is exported for cheap reading by the harness.
 	Stats Stats
 }
@@ -141,23 +121,7 @@ func New(cfg Config, policy Policy) *Cache {
 		c.sets[i].Lines = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 		c.sets[i].State = policy.NewSetState(i)
 	}
-	// tags and ptags live in one backing array (tags capacity-clipped so
-	// an overrun panics instead of corrupting the filter): cache
-	// construction is on replay hot paths, where the bench gate holds
-	// allocs/op flat. Narrow caches never probe the filter, so they skip
-	// its words entirely.
-	c.pwords = (cfg.Ways + 7) / 8
-	c.pshift = log2(sets)
-	c.swar = cfg.Ways > swarMinWays
-	nt := sets * cfg.Ways
-	np := 0
-	if c.swar {
-		np = sets * c.pwords
-	}
-	backing := make([]uint64, nt+np)
-	c.tags = backing[:nt:nt]
-	c.ptags = backing[nt:]
-	c.fullMask = ^uint64(0) >> (64 - uint(cfg.Ways))
+	c.tags = make([]uint64, sets*cfg.Ways)
 	c.obs, _ = policy.(AccessObserver)
 	c.evictObs, _ = policy.(EvictionObserver)
 	return c
@@ -216,15 +180,7 @@ func (c *Cache) Access(req *Request) AccessResult {
 	}
 
 	base := setIdx * c.ways
-	// Per-cache dispatch (one predicted branch): narrow caches keep the
-	// tiny lookup, which inlines here; wide caches call the SWAR probe,
-	// whose word compares dwarf the call.
-	var way int
-	if c.swar {
-		way = c.swarLookup(setIdx, base, set.validMask, tag)
-	} else {
-		way = c.lookup(base, set.validMask, tag)
-	}
+	way := c.lookup(base, set.validMask, tag)
 	if way >= 0 {
 		c.Stats.Hits++
 		c.Stats.CoreHits[core]++
@@ -270,33 +226,9 @@ func (c *Cache) Access(req *Request) AccessResult {
 	}
 	c.tags[base+way] = tag
 	set.validMask |= 1 << uint(way)
-	if c.swar {
-		c.setPartial(setIdx, way, uint8(tag>>c.pshift))
-	}
 	c.policy.OnInsert(set, way, req)
 	return res
 }
-
-// SWAR byte-broadcast and zero-byte-detect masks (Mycroft's trick):
-// for x = word XOR broadcast(b), (x - lsb) &^ x & msb flags the high
-// bit of every byte of word equal to b — plus possible false positives
-// on bytes adjacent to a true match (borrow propagation), and never a
-// false negative. Candidates are confirmed, so extras only cost a
-// compare.
-const (
-	swarLSB = 0x0101010101010101
-	swarMSB = 0x8080808080808080
-)
-
-// swarMinWays is the associativity above which Access probes through
-// the SWAR filter. Measured on the Hot benchmarks: at 16 ways and below
-// the plain scan of the dense tag mirror — small enough to inline into
-// Access — beats the filter's dependency chain (broadcast multiply,
-// zero-byte detect, candidate confirm) plus the out-of-line call, so
-// narrow caches keep it; past 16 ways the scan grows linearly while the
-// filter stays a few word ops per 8 ways, and the filter wins on hits
-// and misses both.
-const swarMinWays = 16
 
 // lookup is Set.Lookup over the dense tag mirror — the simulator's single
 // hottest loop. base is the set's first index into the mirror, mask its
@@ -308,39 +240,6 @@ func (c *Cache) lookup(base int, mask uint64, tag uint64) int {
 		}
 	}
 	return -1
-}
-
-// swarLookup is lookup through the packed partial-tag filter, used for
-// caches wider than swarMinWays. Full sets (the steady state) run the
-// SWAR compare — one word op tests 8 ways, misses usually resolve with
-// no per-way scan, and hits confirm only the flagged bytes against full
-// tags. Partially filled sets fall back to the plain scan, which is
-// cheaper while the cache is filling.
-func (c *Cache) swarLookup(setIdx, base int, mask uint64, tag uint64) int {
-	if mask != c.fullMask {
-		return c.lookup(base, mask, tag)
-	}
-	pat := uint64(uint8(tag>>c.pshift)) * swarLSB
-	pb := setIdx * c.pwords
-	for w, word := range c.ptags[pb : pb+c.pwords] {
-		x := word ^ pat
-		for cand := (x - swarLSB) &^ x & swarMSB; cand != 0; cand &= cand - 1 {
-			// The mask test also rejects phantom ways past c.ways in the
-			// last partial word (their validMask bits are never set).
-			way := w<<3 + bits.TrailingZeros64(cand)>>3
-			if mask&(1<<uint(way)) != 0 && c.tags[base+way] == tag {
-				return way
-			}
-		}
-	}
-	return -1
-}
-
-// setPartial writes way's byte in the set's partial-tag filter.
-func (c *Cache) setPartial(setIdx, way int, p uint8) {
-	w := &c.ptags[setIdx*c.pwords+way>>3]
-	sh := uint(way&7) << 3
-	*w = *w&^(uint64(0xff)<<sh) | uint64(p)<<sh
 }
 
 // Invalidate removes the line holding addr if present, returning it.
@@ -360,9 +259,6 @@ func (c *Cache) Invalidate(addr uint64) (Line, bool) {
 	set.Lines[way] = Line{}
 	c.tags[setIdx*c.ways+way] = 0
 	set.validMask &^= 1 << uint(way)
-	if c.swar {
-		c.setPartial(setIdx, way, 0)
-	}
 	return line, true
 }
 

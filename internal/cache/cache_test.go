@@ -153,8 +153,7 @@ func TestCacheOccupancyBounded(t *testing.T) {
 
 // TestOccupancyMatchesLineScan pins the popcount Occupancy against the
 // per-line scan it replaced, across a random mix of fills, evictions
-// and invalidations on several geometries (including ways that don't
-// fill whole filter words).
+// and invalidations on several geometries (including odd way counts).
 func TestOccupancyMatchesLineScan(t *testing.T) {
 	lineScan := func(c *cache.Cache) int {
 		n := 0
@@ -191,10 +190,10 @@ func TestOccupancyMatchesLineScan(t *testing.T) {
 	}
 }
 
-// TestAccessAgreesWithSetLookup pins the SWAR filtered lookup against
-// Set.Lookup (which scans Lines directly, bypassing both mirrors): for
-// every access the hit/miss outcome must match the ground truth,
-// across geometries with partial filter words and under invalidation.
+// TestAccessAgreesWithSetLookup pins Access's lookup over the dense tag
+// mirror against Set.Lookup (which scans Lines directly, bypassing the
+// mirrors): for every access the hit/miss outcome must match the ground
+// truth, from 1 to 64 ways and under invalidation.
 func TestAccessAgreesWithSetLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, ways := range []int{1, 3, 7, 8, 9, 16, 64} {
@@ -203,7 +202,7 @@ func TestAccessAgreesWithSetLookup(t *testing.T) {
 			pol = policy.NewRandom(3)
 		}
 		c := cache.New(cache.Config{
-			Name: "swar", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
+			Name: "lookup", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Cores: 1,
 		}, pol)
 		for op := 0; op < 3000; op++ {
 			addr := uint64(rng.Intn(32*ways)) * 64
@@ -220,29 +219,25 @@ func TestAccessAgreesWithSetLookup(t *testing.T) {
 	}
 }
 
-// TestLookupPartialTagCollisions drives resident lines whose 8-bit
-// partial tags collide (tags differ only above the filtered byte), so
-// the SWAR prefilter alone cannot distinguish them: full-tag
-// confirmation must. The cache is 32-way (> swarMinWays) with every
-// probed set full, so the filter path — not the narrow-cache linear
-// scan — is the one under test; Random's victim choice prefers invalid
-// ways, making the fill deterministic. Partially filled and
-// invalidated sets take the linear fallback, which
-// TestAccessAgreesWithSetLookup covers at ways=64.
+// TestLookupPartialTagCollisions fills a 32-way set with lines whose
+// tags agree in their low byte and differ only above it, so lookup must
+// compare full tags: every resident hits and a 33rd tag with the same
+// low byte misses. Random's victim choice prefers invalid ways, making
+// the fill deterministic.
 func TestLookupPartialTagCollisions(t *testing.T) {
 	wide := func() *cache.Cache {
 		return cache.New(cache.Config{
 			Name:      "wide",
-			SizeBytes: 4 * 32 * 64, // 4 sets: pshift = 2, partial = uint8(tag >> 2)
+			SizeBytes: 4 * 32 * 64, // 4 sets
 			Ways:      32,
 			LineBytes: 64,
 			Cores:     1,
 		}, policy.NewRandom(9))
 	}
-	// Strides of sets*256 lines keep set index AND partial byte equal
-	// while the full tags differ; +0x100 makes the shared partial byte
-	// nonzero (1) so a match can't be confused with cleared filter
-	// lanes.
+	// Strides of sets*256 lines keep the set index and the tag bits just
+	// above it equal while the full tags differ; +0x100 makes those
+	// shared bits nonzero so a match can't be confused with the zeroed
+	// mirror slot of an invalid way.
 	const stride = uint64(4 * 256 * 64)
 
 	c := wide()
@@ -251,34 +246,32 @@ func TestLookupPartialTagCollisions(t *testing.T) {
 			t.Fatalf("cold access %d hit", i)
 		}
 	}
-	// Set 0 is now full of lines with identical partial tags: every
-	// probe flags all 32 filter bytes as candidates and only full-tag
-	// confirmation separates them.
+	// Set 0 is now full of lines that agree in those bits: only the
+	// full-tag compare separates them.
 	for i := uint64(0); i < 32; i++ {
 		if !access(c, 0x100+i*stride).Hit {
 			t.Fatalf("colliding resident %d missed", i)
 		}
 	}
-	// A 33rd colliding line must still miss despite 32 partial matches.
+	// A 33rd colliding line must still miss.
 	if access(c, 0x100+32*stride).Hit {
 		t.Fatal("absent colliding line hit")
 	}
 
-	// Zero partial tags, including tag 0 itself: a full set whose
-	// filter words are all-zero yet whose lines are valid — probes for
-	// residents must confirm through, and an absent zero-partial probe
-	// must still miss.
+	// Tag 0 and its colliders: a valid line whose tag equals the zeroed
+	// mirror slot of an invalid way must hit, and an absent colliding
+	// probe must still miss.
 	c2 := wide()
 	for i := uint64(0); i < 32; i++ {
-		access(c2, i*stride) // tag i*1024 -> partial 0 for all i
+		access(c2, i*stride) // tags i*1024: identical low bits, tag 0 included
 	}
 	for i := uint64(0); i < 32; i++ {
 		if !access(c2, i*stride).Hit {
-			t.Fatalf("zero-partial resident %d missed", i)
+			t.Fatalf("zero-low-bits resident %d missed", i)
 		}
 	}
 	if access(c2, 32*stride).Hit {
-		t.Fatal("absent zero-partial line hit")
+		t.Fatal("absent zero-low-bits line hit")
 	}
 }
 

@@ -1,15 +1,17 @@
 package cpu
 
 // FuzzMultiReplayGrid extends the FuzzFilteredDecode family one layer
-// up: arbitrary (valid and bit-flipped) hand-built tapes are replayed
-// through a 3-lane policy grid. The contract under corruption: Run
-// returns an error with nil results — never a panic — and lanes are
-// isolated: each lane's outcome (results or failure) is identical to a
-// standalone single-policy replay of the same bytes, because the item
-// stream and every failure mode are policy-independent.
+// up: arbitrary (valid and bit-flipped) hand-built tapes are replayed by
+// a three-cell policy grid (LRU, DRRIP, UCP), one single-policy
+// ReplaySystem per cell over the same tape. The contract under
+// corruption: Run returns an error with nil results — never a panic —
+// and replaying the same bytes twice under one policy gives the same
+// outcome (results or failure). FuzzMultiReplayGridParallel holds the
+// same contract with the grid's cells replaying the tape concurrently.
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"nucache/internal/cache"
@@ -17,7 +19,7 @@ import (
 	"nucache/internal/trace"
 )
 
-func fuzzGridConfig() Config {
+func fuzzConfig() Config {
 	return Config{
 		Cores:      1,
 		L1:         cache.Config{SizeBytes: 2 << 10, Ways: 2, LineBytes: 64},
@@ -41,8 +43,8 @@ func splitmix64(x *uint64) uint64 {
 // buildFuzzTape hand-builds a complete tape: events derived from seed,
 // a record crossing at crossAfter, an exhaustion crossing at the end,
 // and optionally one flipped byte in the packed buffer. decCount stays
-// zero, so every replay stream-decodes through the shared window — the
-// multi-lane path under test.
+// zero, so every replay stream-decodes the packed buffer — the path
+// that parses the (possibly corrupt) bytes.
 func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, mutPos, mutXor uint64) *Tape {
 	ft := &trace.FilteredTrace{}
 	var p uint64
@@ -85,6 +87,38 @@ func buildFuzzTape(cfg Config, nEvents, seed, crossAfter uint64, onEvent bool, m
 	return &Tape{frontEnd: FrontEndKey(cfg), rec: &recorder{cfg: cfg, tr: ft}, chunk: tapeChunkMin}
 }
 
+// fuzzGridCells returns fresh policy constructors for the fuzz grid's
+// three cells (policies are stateful, so every replay needs its own).
+func fuzzGridCells(cfg Config) []func() cache.Policy {
+	return []func() cache.Policy{
+		func() cache.Policy { return policy.NewLRU() },
+		func() cache.Policy { return policy.NewDRRIP(uint64(cfg.Cores)) },
+		func() cache.Policy { return policy.NewUCP(cfg.Cores, cfg.LLC.Ways) },
+	}
+}
+
+// replayOnce replays tape under a fresh policy and enforces the error
+// contract: a failed replay returns nil results.
+func replayOnce(t *testing.T, cfg Config, newPol func() cache.Policy, tape *Tape) ([]CoreResult, error) {
+	res, err := NewReplaySystem(cfg, newPol(), []*Tape{tape}).Run()
+	if err != nil && res != nil {
+		t.Errorf("failed replay returned non-nil results: %+v", res)
+	}
+	return res, err
+}
+
+// sameOutcome fails unless two replays of one tape agree in outcome and
+// in content: every failure mode is a property of the tape.
+func sameOutcome(t *testing.T, cell int, res [2][]CoreResult, errs [2]error) {
+	t.Helper()
+	if (errs[0] == nil) != (errs[1] == nil) {
+		t.Fatalf("cell %d: replays disagree: err %v, then %v", cell, errs[0], errs[1])
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("cell %d: replays diverge\nfirst:  %+v\nsecond: %+v", cell, res[0], res[1])
+	}
+}
+
 func FuzzMultiReplayGrid(f *testing.F) {
 	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))      // valid, record at end
 	f.Add(uint64(64), uint64(2), uint64(64), true, uint64(0), uint64(0))       // valid, on-event record
@@ -99,45 +133,24 @@ func FuzzMultiReplayGrid(f *testing.F) {
 		if crossAfter > nEvents+8 {
 			crossAfter %= nEvents + 8 // keep some runs valid, some past the end
 		}
-		cfg := fuzzGridConfig()
-		lanes := func() []cache.Policy {
-			return []cache.Policy{
-				policy.NewLRU(),
-				policy.NewDRRIP(uint64(cfg.Cores)),
-				policy.NewUCP(cfg.Cores, cfg.LLC.Ways),
-			}
-		}
+		cfg := fuzzConfig()
 		tape := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
-
-		ms := NewMultiReplaySystem(cfg, lanes(), tape0(tape))
-		mRes, mErr := ms.Run()
-		if mErr != nil && mRes != nil {
-			t.Fatalf("failed grid returned non-nil results: %+v", mRes)
-		}
-
-		// Lane isolation: each lane must match a standalone single-policy
-		// replay of the same bytes, in outcome and in content.
-		for li, pol := range lanes() {
-			rs := NewReplaySystem(cfg, pol, tape0(tape))
-			sRes, sErr := rs.Run()
-			if (mErr == nil) != (sErr == nil) {
-				t.Fatalf("lane %d: grid err %v, single err %v", li, mErr, sErr)
+		for ci, newPol := range fuzzGridCells(cfg) {
+			var res [2][]CoreResult
+			var errs [2]error
+			for i := range res {
+				res[i], errs[i] = replayOnce(t, cfg, newPol, tape)
 			}
-			if mErr == nil && !reflect.DeepEqual(mRes[li], sRes) {
-				t.Fatalf("lane %d diverges from single replay\ngrid:   %+v\nsingle: %+v",
-					li, mRes[li], sRes)
-			}
+			sameOutcome(t, ci, res, errs)
 		}
 	})
 }
 
-func tape0(t *Tape) []*Tape { return []*Tape{t} }
-
-// FuzzMultiReplayGridParallel is FuzzMultiReplayGrid with lanes stepped
-// on worker goroutines: the error-never-panic and lane-isolation
-// contracts must survive arbitrary corruption with the streaming window
-// under concurrent access (decCount stays zero in these tapes, so every
-// event goes through the shared window — the contended path).
+// FuzzMultiReplayGridParallel replays the grid's cells on their own
+// goroutines over one shared tape, as concurrent scheduler jobs do, and
+// checks each cell against a sequential replay of the same bytes. The
+// fuzz tapes have no decoded mirror, so every concurrent cell streams
+// the shared packed buffer through its own cursor.
 func FuzzMultiReplayGridParallel(f *testing.F) {
 	f.Add(uint64(64), uint64(1), uint64(64), false, uint64(0), uint64(0))
 	f.Add(uint64(16), uint64(3), uint64(7), false, uint64(0), uint64(0))
@@ -151,32 +164,23 @@ func FuzzMultiReplayGridParallel(f *testing.F) {
 		if crossAfter > nEvents+8 {
 			crossAfter %= nEvents + 8
 		}
-		cfg := fuzzGridConfig()
-		lanes := func() []cache.Policy {
-			return []cache.Policy{
-				policy.NewLRU(),
-				policy.NewDRRIP(uint64(cfg.Cores)),
-				policy.NewUCP(cfg.Cores, cfg.LLC.Ways),
-			}
-		}
+		cfg := fuzzConfig()
 		tape := buildFuzzTape(cfg, nEvents, seed, crossAfter, onEvent, mutPos, mutXor)
-
-		ms := NewMultiReplaySystem(cfg, lanes(), tape0(tape))
-		mRes, mErr := ms.RunParallel(3)
-		if mErr != nil && mRes != nil {
-			t.Fatalf("failed parallel grid returned non-nil results: %+v", mRes)
+		cells := fuzzGridCells(cfg)
+		parRes := make([][]CoreResult, len(cells))
+		parErrs := make([]error, len(cells))
+		var wg sync.WaitGroup
+		for ci, newPol := range cells {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parRes[ci], parErrs[ci] = replayOnce(t, cfg, newPol, tape)
+			}()
 		}
-
-		for li, pol := range lanes() {
-			rs := NewReplaySystem(cfg, pol, tape0(tape))
-			sRes, sErr := rs.Run()
-			if (mErr == nil) != (sErr == nil) {
-				t.Fatalf("lane %d: parallel grid err %v, single err %v", li, mErr, sErr)
-			}
-			if mErr == nil && !reflect.DeepEqual(mRes[li], sRes) {
-				t.Fatalf("lane %d diverges from single replay\ngrid:   %+v\nsingle: %+v",
-					li, mRes[li], sRes)
-			}
+		wg.Wait()
+		for ci, newPol := range cells {
+			seqRes, seqErr := replayOnce(t, cfg, newPol, tape)
+			sameOutcome(t, ci, [2][]CoreResult{parRes[ci], seqRes}, [2]error{parErrs[ci], seqErr})
 		}
 	})
 }

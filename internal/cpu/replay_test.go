@@ -297,3 +297,21 @@ func TestReplayUntaggableStreamFallback(t *testing.T) {
 		t.Fatal("untaggable stream must fail the replay")
 	}
 }
+
+// TestReplayRunNilResultsOnError pins Run's error contract: a failed
+// replay returns nil results — never a partially populated slice — so
+// callers can trust `res != nil` as success.
+func TestReplayRunNilResultsOnError(t *testing.T) {
+	old := cpu.SetTapeBudget(0) // recording dies immediately
+	defer cpu.SetTapeBudget(old)
+	cfg := smallConfig(1)
+	pol, _ := sim.BuildPolicy("LRU", 1, cfg.LLC.Ways, 0)
+	tape := cpu.NewTape(cfg, workload.MustByName("art-like").Stream(1))
+	res, err := cpu.NewReplaySystem(cfg, pol, []*cpu.Tape{tape}).Run()
+	if err == nil {
+		t.Fatal("replay over a budget-starved tape should fail")
+	}
+	if res != nil {
+		t.Fatalf("failed Run returned non-nil results: %+v", res)
+	}
+}

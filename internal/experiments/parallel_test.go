@@ -8,110 +8,97 @@ import (
 	"nucache/internal/sim"
 )
 
-// TestGridMatchesSequential is the parallelization contract: the
-// scheduler-backed grid must reproduce, value for value, what direct
-// sequential mixMetrics calls compute — and therefore byte-identical
-// tables. A distinct budget keeps these keys out of other tests' cache
-// entries.
+// TestGridMatchesSequential is the grid's one oracle: every cell the
+// scheduler-backed grid computes (per-cell record/replay over shared
+// tapes) must equal, value for value, a sequential direct simulation of
+// that cell — at one worker and at four — and therefore give
+// byte-identical tables. Distinct budgets keep each worker count out of
+// the other's (and other tests') cache entries.
 func TestGridMatchesSequential(t *testing.T) {
-	o := Options{Budget: 170_000, Seed: 1, MixLimit: 2, Parallel: 4}.withDefaults()
+	specs := StandardPolicies()
+	for _, tc := range []struct {
+		parallel int
+		budget   uint64
+	}{{1, 170_000}, {4, 171_000}} {
+		o := Options{Budget: tc.budget, Seed: 1, MixLimit: 2, Parallel: tc.parallel}.withDefaults()
+		direct := o
+		direct.DisableReplay = true
+		mixes := o.mixes(2)
+		replayed := sim.TracesReplayed.Value()
+		grid := o.mixMetricsGrid(mixes, specs)
+		if sim.TracesReplayed.Value() == replayed {
+			t.Fatalf("parallel=%d: grid never took the replay path", tc.parallel)
+		}
+		for i, m := range mixes {
+			for j, s := range specs {
+				if want := direct.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
+					t.Fatalf("parallel=%d: %s under %s: grid %+v != direct %+v",
+						tc.parallel, m.Name, s.Name, grid[i][j], want)
+				}
+			}
+		}
+	}
+}
+
+// gridCheck runs o's 2-core policy grid and requires every cell to equal a
+// sequential mixMetrics call under the same options. It returns how far
+// the replay and fallback counters moved during the grid itself.
+func gridCheck(t *testing.T, o Options) (cells int, replayed, fallbacks int64) {
+	t.Helper()
 	specs := StandardPolicies()
 	mixes := o.mixes(2)
-
+	replayed0, fallbacks0 := sim.TracesReplayed.Value(), sim.TraceFallbacks.Value()
 	grid := o.mixMetricsGrid(mixes, specs)
-
+	replayed = sim.TracesReplayed.Value() - replayed0
+	fallbacks = sim.TraceFallbacks.Value() - fallbacks0
 	for i, m := range mixes {
 		for j, s := range specs {
-			want := o.mixMetrics(m, s)
-			if !reflect.DeepEqual(grid[i][j], want) {
-				t.Fatalf("%s under %s: grid %+v != sequential %+v",
-					m.Name, s.Name, grid[i][j], want)
+			if want := o.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
+				t.Fatalf("%s under %s (parallel=%d, noreplay=%v): grid %+v != sequential %+v",
+					m.Name, s.Name, o.Parallel, o.DisableReplay, grid[i][j], want)
 			}
 		}
 	}
+	return len(mixes) * len(specs), replayed, fallbacks
 }
 
-// TestMultiReplayEngagementAndEscapeHatch pins the one-pass grid wiring
-// at the experiments layer: a policy-grid run must actually take the
-// multi-replay path (the expvar counter moves), DisableMultiReplay must
-// keep it off, and both modes must reproduce the direct sequential
-// mixMetrics values — so the two grid modes are transitively
-// byte-identical. Distinct budgets keep the two grids out of each
-// other's cache entries.
+// TestMultiReplayEngagementAndEscapeHatch pins the grid's replay wiring
+// at the experiments layer: by default every computed cell is served by
+// the record/replay path (one TracesReplayed tick each, no fallbacks),
+// DisableReplay keeps the grid off it entirely, and both modes reproduce
+// sequential mixMetrics values. Distinct budgets keep the two grids out
+// of each other's cache entries.
 func TestMultiReplayEngagementAndEscapeHatch(t *testing.T) {
-	specs := StandardPolicies()
-	check := func(o Options) {
-		t.Helper()
-		mixes := o.mixes(2)
-		grid := o.mixMetricsGrid(mixes, specs)
-		for i, m := range mixes {
-			for j, s := range specs {
-				if want := o.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
-					t.Fatalf("%s under %s (nomulti=%v): grid %+v != sequential %+v",
-						m.Name, s.Name, o.DisableMultiReplay, grid[i][j], want)
-				}
-			}
-		}
-	}
-
 	on := Options{Budget: 155_000, Seed: 1, MixLimit: 2, Parallel: 2}.withDefaults()
-	before := sim.MultiReplayRuns.Value()
-	check(on)
-	if sim.MultiReplayRuns.Value() == before {
-		t.Fatal("policy grid did not engage the one-pass multi-replay path")
+	cells, replayed, fallbacks := gridCheck(t, on)
+	if replayed < int64(cells) || fallbacks != 0 {
+		t.Fatalf("default grid: %d of %d cells replayed, %d fallbacks", replayed, cells, fallbacks)
 	}
 
-	off := Options{Budget: 165_000, Seed: 1, MixLimit: 2, Parallel: 2,
-		DisableMultiReplay: true}.withDefaults()
-	before = sim.MultiReplayRuns.Value()
-	check(off)
-	if got := sim.MultiReplayRuns.Value(); got != before {
-		t.Fatalf("DisableMultiReplay grid still ran %d one-pass grids", got-before)
+	off := Options{Budget: 165_000, Seed: 1, MixLimit: 2, Parallel: 2, DisableReplay: true}.withDefaults()
+	if _, replayed, fallbacks := gridCheck(t, off); replayed != 0 || fallbacks != 0 {
+		t.Fatalf("DisableReplay grid touched the replay path: %d replays, %d fallbacks", replayed, fallbacks)
 	}
 }
 
-// TestMultiReplayParallelLanesEngagementAndEscapeHatch pins the
-// parallel-lane wiring at the experiments layer: with spare scheduler
-// slots and GOMAXPROCS headroom a grid row must actually borrow lane
-// workers (the expvar counters move), DisableLaneParallel must keep
-// stepping serial, and both modes must reproduce the direct sequential
-// mixMetrics values. GOMAXPROCS is raised for the duration because the
-// borrow path intentionally degrades to serial on single-CPU boxes.
+// TestMultiReplayParallelLanesEngagementAndEscapeHatch pins concurrent
+// cells on cold tapes: with one mix, eight scheduler workers and
+// GOMAXPROCS headroom, all of a row's policy cells start together on
+// tapes nobody has recorded yet (a seed no other test uses). Every cell
+// must still be served by replay without a fallback, and the grid must
+// match sequential mixMetrics values — as must the one-worker grid,
+// the serial escape hatch.
 func TestMultiReplayParallelLanesEngagementAndEscapeHatch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	specs := StandardPolicies()
-	check := func(o Options) {
-		t.Helper()
-		mixes := o.mixes(2)
-		grid := o.mixMetricsGrid(mixes, specs)
-		for i, m := range mixes {
-			for j, s := range specs {
-				if want := o.mixMetrics(m, s); !reflect.DeepEqual(grid[i][j], want) {
-					t.Fatalf("%s under %s (nolanes=%v): grid %+v != sequential %+v",
-						m.Name, s.Name, o.DisableLaneParallel, grid[i][j], want)
-				}
-			}
+	for _, o := range []Options{
+		{Budget: 157_000, Seed: 23, MixLimit: 1, Parallel: 8},
+		{Budget: 167_000, Seed: 23, MixLimit: 1, Parallel: 1},
+	} {
+		cells, replayed, fallbacks := gridCheck(t, o.withDefaults())
+		if replayed < int64(cells) || fallbacks != 0 {
+			t.Fatalf("parallel=%d: %d of %d cells replayed, %d fallbacks",
+				o.Parallel, replayed, cells, fallbacks)
 		}
-	}
-
-	// One mix: its row job is the only slot holder, so Parallel=8 leaves
-	// idle slots to borrow (blocked sibling cells hold at most 4 more).
-	on := Options{Budget: 157_000, Seed: 1, MixLimit: 1, Parallel: 8}.withDefaults()
-	runsBefore, workersBefore := sim.MultiReplayParallelRuns.Value(), sim.MultiReplayLaneWorkers.Value()
-	check(on)
-	if sim.MultiReplayParallelRuns.Value() == runsBefore {
-		t.Fatal("policy grid did not engage parallel lane stepping")
-	}
-	if sim.MultiReplayLaneWorkers.Value()-workersBefore < 2 {
-		t.Fatal("parallel grid row reported fewer than 2 lane workers")
-	}
-
-	off := Options{Budget: 167_000, Seed: 1, MixLimit: 1, Parallel: 8,
-		DisableLaneParallel: true}.withDefaults()
-	runsBefore = sim.MultiReplayParallelRuns.Value()
-	check(off)
-	if got := sim.MultiReplayParallelRuns.Value(); got != runsBefore {
-		t.Fatalf("DisableLaneParallel grid still ran %d parallel-lane grids", got-runsBefore)
 	}
 }
 

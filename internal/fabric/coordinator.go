@@ -201,29 +201,6 @@ func (c *Coordinator) MarkDone(key string) {
 	}
 }
 
-// ClaimLocal atomically claims key for local execution. It reports true
-// if the caller now owns the cell (it was pending, local-pinned, or
-// never offered) and must compute+journal it; false if the cell is
-// actively leased or already done remotely.
-func (c *Coordinator) ClaimLocal(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.cells[key]
-	if !ok {
-		return true // never offered ⇒ purely local cell
-	}
-	switch e.state {
-	case statePending:
-		e.state = stateLocal
-		c.broadcastLocked(e)
-		return true
-	case stateLocal:
-		return true
-	default: // leased or done
-		return false
-	}
-}
-
 // AwaitOrClaim resolves one cell for the local sweep:
 //
 //   - pending / local / unknown ⇒ claims it locally and returns

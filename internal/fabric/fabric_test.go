@@ -78,13 +78,12 @@ func TestZeroWorkersClaimsLocallyImmediately(t *testing.T) {
 		t.Fatal("AwaitOrClaim blocked with zero workers")
 	}
 
-	// Claimed cells are owned: a second claim attempt still says local.
-	if !co.ClaimLocal("cell-0") {
-		t.Error("ClaimLocal on locally-claimed cell should stay true")
-	}
-	// Unknown cells are implicitly local.
-	if !co.ClaimLocal("never-offered") {
-		t.Error("ClaimLocal on unknown key should be true")
+	// Claimed cells are owned: a second claim still says local, and an
+	// unknown cell is implicitly local.
+	for _, key := range []string{"cell-0", "never-offered"} {
+		if payload, remote := co.AwaitOrClaim(context.Background(), key); remote || payload != nil {
+			t.Errorf("%s: want local claim, got remote=%v", key, remote)
+		}
 	}
 }
 

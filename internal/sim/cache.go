@@ -202,8 +202,8 @@ func (c *Cache) Get(key string, into any) bool {
 // bit rot is detected by checksum, not by whether it happens to break
 // JSON syntax.
 type diskEnvelope struct {
-	V      int             `json:"v"`
-	SHA256 string          `json:"sha256"`
+	V       int             `json:"v"`
+	SHA256  string          `json:"sha256"`
 	Payload json.RawMessage `json:"payload"`
 }
 

@@ -130,35 +130,6 @@ func NewSchedulerWith(cfg SchedulerConfig) *Scheduler {
 // Workers reports the concurrency bound.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// TryBorrow acquires up to max worker tokens without blocking and
-// returns how many it got (possibly zero). A running job that can use
-// extra parallelism internally — a grid row stepping replay lanes on
-// worker goroutines — borrows the idle slots queued jobs would
-// otherwise take, so the box never runs more than Workers() lanes plus
-// jobs at once. Borrowed tokens must be given back with Return; since
-// the borrow never blocks and the borrower already holds a slot,
-// borrowing cannot deadlock the pool — at worst it gets zero and the
-// caller degrades to serial.
-func (s *Scheduler) TryBorrow(max int) int {
-	n := 0
-	for n < max {
-		select {
-		case s.sem <- struct{}{}:
-			n++
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// Return gives back n tokens acquired by TryBorrow.
-func (s *Scheduler) Return(n int) {
-	for ; n > 0; n-- {
-		<-s.sem
-	}
-}
-
 // Cache returns the scheduler's result cache (nil when disabled).
 func (s *Scheduler) Cache() *Cache { return s.cache }
 
