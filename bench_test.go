@@ -5,6 +5,9 @@
 package nucache_test
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"nucache/internal/cache"
@@ -12,6 +15,7 @@ import (
 	"nucache/internal/cpu"
 	"nucache/internal/experiments"
 	"nucache/internal/policy"
+	"nucache/internal/sim"
 	"nucache/internal/trace"
 	"nucache/internal/workload"
 )
@@ -162,6 +166,58 @@ func BenchmarkHotReplayStep(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 	}
 }
+
+// BenchmarkHotCacheHit measures Scheduler.Do on a cached key: the
+// memory-tier lookup behind every /v1/sim hit and journal-resumed cell.
+// The entries hold a real one-cell Result and were read once before the
+// timer starts, so each hit copies the kept decoded value; a return to
+// decoding JSON on every hit shows here as a several-fold slowdown.
+// "parallel" spreads GOMAXPROCS goroutines over hotCacheKeys keys, the
+// contended case the memory tier's locking is sized for.
+func BenchmarkHotCacheHit(b *testing.B) {
+	ctx := context.Background()
+	req := sim.Request{Bench: "ammp-like", Policy: "LRU", Budget: 20_000}
+	first := sim.NewScheduler(1, nil).Do(ctx, sim.JobFor(req))
+	if first.Err != nil {
+		b.Fatal(first.Err)
+	}
+	c := sim.NewCache(1024, "")
+	sched := sim.NewScheduler(1, c)
+	jobs := make([]sim.Job, hotCacheKeys)
+	for i := range jobs {
+		req.Seed = uint64(i + 1)
+		jobs[i] = sim.JobFor(req)
+		jobs[i].Run = func(context.Context) (any, error) { return nil, errors.New("cache miss") }
+		if err := c.Put(jobs[i].Key, first.Value); err != nil {
+			b.Fatal(err)
+		}
+		if !sched.Do(ctx, jobs[i]).Cached {
+			b.Fatal("seeded key missed")
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !sched.Do(ctx, jobs[i%hotCacheKeys]).Cached {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var next atomic.Uint32
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(next.Add(1))
+			for pb.Next() {
+				if !sched.Do(ctx, jobs[i%hotCacheKeys]).Cached {
+					b.Error("miss")
+					return
+				}
+				i++
+			}
+		})
+	})
+}
+
+const hotCacheKeys = 64
 
 // BenchmarkSystemThroughput measures end-to-end simulated accesses/sec of
 // the full hierarchy on a real workload model.

@@ -167,6 +167,26 @@ func TestSimEndpoint(t *testing.T) {
 		t.Fatalf("integrity counters moved on a healthy server: cache=%d tape=%d failpoints=%d",
 			*vars.ChecksumFails, *vars.TapeChecksums, *vars.FailpointsFired)
 	}
+
+	// Repeated hits on one key decode its cached bytes once: the first
+	// hit keeps the decoded result in the memory tier and later hits
+	// copy it, so nucache_cache_decodes stays flat.
+	hit := func() {
+		code, raw := postJSON(t, base+"/v1/sim", `{"bench":"ammp-like","budget":100000}`)
+		if code != http.StatusOK || !strings.Contains(string(raw), `"cached":true`) {
+			t.Fatalf("repeat sim: status %d, body %s", code, raw)
+		}
+	}
+	hit()
+	d1 := getServeVars(t, base).CacheDecodes
+	for i := 0; i < 3; i++ {
+		hit()
+	}
+	d2 := getServeVars(t, base).CacheDecodes
+	if d1 == nil || d2 == nil || *d1 < 1 || *d2 != *d1 {
+		t.Fatalf("nucache_cache_decodes = %v after the first hit, %v after three more; want published and flat",
+			d1, d2)
+	}
 }
 
 // serveVars is the expvar slice the advisor tests watch.
@@ -176,6 +196,7 @@ type serveVars struct {
 	ProfileCacheHits int64    `json:"nucache_mrc_profile_cache_hits"`
 	AdviseRequests   int64    `json:"nucache_advise_requests"`
 	VerifyMaxErr     *float64 `json:"nucache_advise_verify_max_err"`
+	CacheDecodes     *int64   `json:"nucache_cache_decodes"`
 }
 
 func getServeVars(t *testing.T, base string) serveVars {
@@ -266,6 +287,14 @@ func TestProfileAdviseFlow(t *testing.T) {
 		t.Fatalf("advisor expvars wrong: advise_requests=%d cache_hits=%d",
 			v2.AdviseRequests, v2.ProfileCacheHits)
 	}
+	// The first advise decoded the cached profile; a repeat reuses the
+	// decoded profile without decoding again.
+	if code, raw := postJSON(t, base+"/v1/advise", `{`+spec+`,"policy":"lru"}`); code != http.StatusOK {
+		t.Fatalf("repeat advise status = %d, body %s", code, raw)
+	}
+	if v := getServeVars(t, base); v2.CacheDecodes == nil || v.CacheDecodes == nil || *v.CacheDecodes != *v2.CacheDecodes {
+		t.Fatalf("repeat advise decoded the profile again: nucache_cache_decodes %v -> %v", v2.CacheDecodes, v.CacheDecodes)
+	}
 
 	// 3. Verified what-if: the simulation must confirm the exact
 	// contract on the flat default machine, and the delta gauge stays
@@ -294,8 +323,8 @@ func TestProfileAdviseFlow(t *testing.T) {
 	if v3.VerifyMaxErr == nil || *v3.VerifyMaxErr != 0 {
 		t.Fatalf("advise_verify_max_err = %v, want published 0", v3.VerifyMaxErr)
 	}
-	if v3.AdviseRequests != 2 {
-		t.Fatalf("advise_requests = %d after two advises", v3.AdviseRequests)
+	if v3.AdviseRequests != 3 {
+		t.Fatalf("advise_requests = %d after three advises", v3.AdviseRequests)
 	}
 
 	// 4. The catalog advertises the advisor endpoints.

@@ -107,7 +107,7 @@ func ProfileAdvisorSweep(o Options) *SweepResult {
 			}
 			panic(fmt.Sprintf("experiments: advisor over %s: %v", m.Name, out.Err))
 		}
-		c := out.Value.(*ProfileCell)
+		c := out.Value.(*ProfileCell) // read-only: may be the cached value
 		ratio := 0.0
 		if c.EvenThroughput > 0 {
 			ratio = c.BestThroughput / c.EvenThroughput

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -528,7 +529,12 @@ func (o Options) mixMetricsGrid(mixes []workload.Mix, specs []PolicySpec) [][]Mi
 				panic(fmt.Sprintf("experiments: %s under %s: %v",
 					mixes[i].Name, specs[j].Name, out.Err))
 			}
-			grid[i][j] = *out.Value.(*MixMetrics)
+			// A cached value shares IPC with the result cache, which is
+			// read-only; the grid escapes into public results, so it
+			// gets its own copy.
+			mm := *out.Value.(*MixMetrics)
+			mm.IPC = slices.Clone(mm.IPC)
+			grid[i][j] = mm
 		}
 	}
 	return grid

@@ -144,24 +144,35 @@ func absDiff(a, b uint64) uint64 {
 	return b - a
 }
 
-// fetchProfile returns the mix's profile, preferring the scheduler's
-// content-addressed cache (no job is queued on a hit — the advisor
-// answers already-profiled mixes without touching the simulation
-// pipeline) and scheduling the profiling pass otherwise.
-func (sv *Server) fetchProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, bool, error) {
-	key := req.Key()
+// fetchProfile returns the profile of job (a ProfileJobFor job),
+// preferring the scheduler's content-addressed cache (no job is queued
+// on a hit — the advisor answers already-profiled mixes without
+// touching the simulation pipeline) and scheduling the profiling pass
+// otherwise. A cached profile that fails Validate is dropped from both
+// cache tiers before the pass, so it is recomputed rather than served.
+// The profile is read-only (see Cache.Get).
+func (sv *Server) fetchProfile(ctx context.Context, job Job) (*mrc.Profile, bool, error) {
 	if c := sv.sched.Cache(); c != nil {
 		p := new(mrc.Profile)
-		if c.Get(key, p) && p.Validate() == nil {
-			MRCProfileCacheHits.Add(1)
-			return p, true, nil
+		if c.Get(job.Key, p) {
+			err := p.Validate()
+			if err == nil {
+				MRCProfileCacheHits.Add(1)
+				return p, true, nil
+			}
+			c.Invalidate(job.Key, err)
 		}
 	}
-	out := sv.sched.Do(ctx, ProfileJobFor(req))
+	out := sv.sched.Do(ctx, job)
 	if out.Err != nil {
 		return nil, false, out.Err
 	}
 	p := out.Value.(*mrc.Profile)
+	if err := p.Validate(); err != nil {
+		// Do can still hit an invalid entry stored after the Invalidate
+		// above; never hand it to the model.
+		return nil, false, fmt.Errorf("sim: profile %s: %w", job.Key, err)
+	}
 	if out.Cached {
 		MRCProfileCacheHits.Add(1)
 	}
@@ -187,13 +198,14 @@ func (sv *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	p, cached, err := sv.fetchProfile(r.Context(), req)
+	job := ProfileJobFor(req)
+	p, cached, err := sv.fetchProfile(r.Context(), job)
 	if err != nil {
 		sv.jobError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ProfileResponse{
-		Key:     req.Key(),
+		Key:     job.Key,
 		Cached:  cached,
 		WallNS:  time.Since(start).Nanoseconds(),
 		Profile: p,
@@ -211,7 +223,8 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, cached, err := sv.fetchProfile(r.Context(), req.ProfileRequest)
+	job := ProfileJobFor(req.ProfileRequest)
+	p, cached, err := sv.fetchProfile(r.Context(), job)
 	if err != nil {
 		sv.jobError(w, err)
 		return
@@ -224,15 +237,16 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := AdviseResponse{
-		ProfileKey:    req.ProfileRequest.Key(),
+		ProfileKey:    job.Key,
 		ProfileCached: cached,
 		EvalNS:        evalNS,
 		Prediction:    pred,
 	}
 	if req.Verify {
 		vreq := req.VerifyRequest(pred)
-		out := sv.sched.Do(r.Context(), JobFor(vreq))
-		sv.logJob(r, "advise-verify", vreq, out)
+		vjob := JobFor(vreq)
+		out := sv.sched.Do(r.Context(), vjob)
+		sv.logJob(r, "advise-verify", vjob.Key, vreq, out)
 		if out.Err != nil {
 			sv.jobError(w, out.Err)
 			return
@@ -241,7 +255,7 @@ func (sv *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		hitsExact, maxAbs, maxRel, mrErr := CompareVerify(pred, res)
 		recordVerifyErr(maxRel)
 		resp.Verify = &VerifyReport{
-			Key: vreq.Key(), Result: res,
+			Key: vjob.Key, Result: res,
 			HitsExact: hitsExact, MaxHitsAbsErr: maxAbs,
 			MaxIPCRelErr: maxRel, MissRateErr: mrErr,
 		}

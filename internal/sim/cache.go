@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,7 +10,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,9 @@ import (
 // JSON-encoded values, optionally backed by an on-disk JSON store that
 // survives restarts. Values round-trip through encoding/json, which is
 // exact for float64, so a cached result is byte-identical to a fresh one.
+// The memory tier also keeps each entry's value once decoded, so a hot
+// key costs one decode, not one per hit (see Get for the read-only
+// contract that comes with it).
 //
 // The disk tier self-heals: a corrupt entry (truncated write, bit rot)
 // is quarantined on first read so it is never re-read and re-rejected,
@@ -34,49 +38,28 @@ import (
 // checksum instead of being served as truth. Pre-envelope entries (raw
 // payload JSON) still load, so existing caches survive the upgrade.
 //
-// The in-memory tier is sharded by key hash into a power-of-2 number of
-// independently locked LRUs sized from runtime.NumCPU(), so concurrent
-// writers — a scheduler's worker pool, or remote fabric results landing
-// between local completions — don't serialize on one global mutex.
-// Small caches (under minShardEntries per would-be shard) collapse to a
-// single shard, where eviction order is exactly the classic global LRU.
+// The in-memory tier is one exact LRU behind one mutex. Every memory
+// operation holds it for a map lookup and a list move; a hit's copy of
+// the decoded value and a miss's decode both run outside it.
 type Cache struct {
-	shards []*cacheShard
-	mask   uint32 // len(shards) - 1
-	dir    string // "" disables the disk tier
-	diskOK atomic.Bool
-}
-
-// cacheShard is one independently locked LRU slice of the key space.
-type cacheShard struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
+	dir     string     // "" disables the disk tier
+	diskOK  atomic.Bool
 }
 
+// cacheEntry is one resident value. An entry is replaced, never
+// rewritten, when its key is stored again, so a Get that decoded its
+// bytes outside the lock can tell whether they are still current.
 type cacheEntry struct {
 	key  string
 	data []byte
-}
-
-// minShardEntries is the floor on per-shard capacity: sharding a cache
-// below it would turn capacity-accurate LRU eviction into noise (and
-// every small-cache test in this repo into a flake), so caches that
-// small stay single-shard.
-const minShardEntries = 64
-
-// shardCount picks the in-memory shard count: the smallest power of two
-// ≥ NumCPU, halved until each shard holds at least minShardEntries.
-func shardCount(capacity int) int {
-	n := 1
-	for n < runtime.NumCPU() {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < minShardEntries {
-		n >>= 1
-	}
-	return n
+	// val is data decoded by the first Get (a pointer of that Get's
+	// `into` type), or nil until then. It is shared by every later Get
+	// into the same type and never modified.
+	val any
 }
 
 // NewCache builds a cache holding up to capacity in-memory entries
@@ -86,64 +69,30 @@ func NewCache(capacity int, dir string) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	n := shardCount(capacity)
 	c := &Cache{
-		shards: make([]*cacheShard, n),
-		mask:   uint32(n - 1),
-		dir:    dir,
-	}
-	for i := range c.shards {
-		// Spread capacity across shards, remainder to the low shards,
-		// so the total in-memory bound is exactly `capacity`.
-		sc := capacity / n
-		if i < capacity%n {
-			sc++
-		}
-		c.shards[i] = &cacheShard{
-			cap:     sc,
-			entries: map[string]*list.Element{},
-			order:   list.New(),
-		}
+		cap:     capacity,
+		entries: map[string]*list.Element{},
+		order:   list.New(),
+		dir:     dir,
 	}
 	c.diskOK.Store(true)
 	return c
 }
 
-// shard routes a key to its shard by FNV-1a hash. Keys are sha256 hex
-// digests in the common case, so any decent mix works; FNV keeps it
-// allocation-free.
-func (c *Cache) shard(key string) *cacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h&c.mask]
-}
-
-// Len reports the in-memory entry count across all shards.
+// Len reports the in-memory entry count.
 func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // Contains reports whether the key is resident in memory, without
 // promoting it or touching the disk tier. The sweep's fabric offer path
 // uses it to skip already-finished cells.
 func (c *Cache) Contains(key string) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
 	return ok
 }
 
@@ -156,27 +105,47 @@ func (c *Cache) DiskHealthy() bool { return c.dir == "" || c.diskOK.Load() }
 // Persistent reports whether a disk tier was configured.
 func (c *Cache) Persistent() bool { return c.dir != "" }
 
-// Get looks the key up (memory first, then disk) and decodes the stored
-// value into `into` (a pointer). A disk hit is promoted into memory. A
-// disk entry that fails to decode is quarantined so the next lookup for
-// the key recomputes instead of re-reading the corrupt file forever.
+// Get looks the key up (memory first, then disk) and stores the value
+// in `into` (a pointer), replacing what it held. A disk hit is promoted
+// into memory. A disk entry that fails to decode is quarantined so the
+// next lookup for the key recomputes instead of re-reading the corrupt
+// file forever.
+//
+// The memory tier decodes each entry at most once: the first Get into a
+// given pointer type keeps the decoded value beside the entry's bytes,
+// and later Gets into that type copy it into `into` without touching
+// JSON. The copy is shallow, so a value read from the memory tier shares
+// its slices and maps with the cached one and is read-only: a caller
+// that needs to modify it must copy those first. A Get into any other
+// type decodes the bytes each time.
 func (c *Cache) Get(key string, into any) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		s.mu.Unlock()
-		if json.Unmarshal(data, into) == nil {
-			return true
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
+		val := e.val
+		c.mu.Unlock()
+		if val != nil && reflect.TypeOf(val) == reflect.TypeOf(into) {
+			if dst := reflect.ValueOf(into); !dst.IsNil() {
+				dst.Elem().Set(reflect.ValueOf(val).Elem())
+				return true
+			}
 		}
-		// Memory entries are written by Put and should never be corrupt;
-		// drop the entry anyway so a decode mismatch (e.g. a changed
-		// result schema) heals by recomputation instead of recurring.
-		s.evict(key, el)
-		return false
+		decoded, err := decodeEntry(e.data, into)
+		if err != nil {
+			// Memory entries are written by Put and should never be
+			// corrupt; drop the entry anyway so a decode mismatch (e.g.
+			// a changed result schema) heals by recomputation instead of
+			// recurring.
+			c.evict(el, e)
+			return false
+		}
+		if val == nil && decoded != nil {
+			c.memoize(el, e, decoded)
+		}
+		return true
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if c.dir == "" {
 		return false
 	}
@@ -190,12 +159,82 @@ func (c *Cache) Get(key string, into any) bool {
 		c.quarantine(path, err)
 		return false
 	}
-	if err := json.Unmarshal(payload, into); err != nil {
+	decoded, err := decodeEntry(payload, into)
+	if err != nil {
 		c.quarantine(path, err)
 		return false
 	}
-	c.putBytes(key, payload)
+	c.putEntry(key, payload, decoded)
 	return true
+}
+
+// decodeEntry is the only place the cache decodes JSON (counted in
+// nucache_cache_decodes). For a non-nil pointer `into` it decodes into
+// a fresh value of the same type, copies that into `into` and returns
+// it for the memory tier to keep; anything else decodes in place and
+// returns nil, so nothing is kept.
+func decodeEntry(data []byte, into any) (any, error) {
+	CacheDecodes.Add(1)
+	rv := reflect.ValueOf(into)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return nil, json.Unmarshal(data, into)
+	}
+	fresh := reflect.New(rv.Type().Elem())
+	if err := json.Unmarshal(data, fresh.Interface()); err != nil {
+		return nil, err
+	}
+	rv.Elem().Set(fresh.Elem())
+	return fresh.Interface(), nil
+}
+
+// memoize keeps a decoded value beside its entry, unless the entry was
+// replaced or evicted while it decoded (its bytes may then differ).
+func (c *Cache) memoize(el *list.Element, e *cacheEntry, val any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] == el && el.Value == e && e.val == nil {
+		e.val = val
+	}
+}
+
+// Invalidate drops a key from both tiers: the memory entry is removed
+// and the disk file, if any, quarantined like any corrupt entry. It is
+// for values that decode but that the caller rejects (a profile failing
+// mrc.Profile.Validate), so the next lookup recomputes.
+func (c *Cache) Invalidate(key string, cause error) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
+	if c.dir == "" {
+		return
+	}
+	path := c.diskPath(key)
+	if _, err := os.Stat(path); err == nil {
+		c.quarantine(path, cause)
+	}
+}
+
+// CheckDecoded re-encodes every decoded value the memory tier keeps and
+// compares it with the entry's bytes. A mismatch means some reader
+// modified a value it got from Get, breaking the read-only contract;
+// tests call it after driving traffic through the cache.
+func (c *Cache) CheckDecoded() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		if e.val == nil {
+			continue
+		}
+		data, err := json.Marshal(e.val)
+		if err != nil || !bytes.Equal(data, e.data) {
+			return fmt.Errorf("sim: cached value for %s no longer matches its bytes (encode error %v)", e.key, err)
+		}
+	}
+	return nil
 }
 
 // diskEnvelope wraps a disk entry's payload with its own SHA-256 so
@@ -236,13 +275,13 @@ func openEnvelope(data []byte) ([]byte, error) {
 }
 
 // evict removes a known-bad memory entry, tolerating concurrent
-// replacement (only the exact element observed corrupt is removed).
-func (s *cacheShard) evict(key string, el *list.Element) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.entries[key]; ok && cur == el {
-		s.order.Remove(cur)
-		delete(s.entries, key)
+// replacement (only the exact entry observed corrupt is removed).
+func (c *Cache) evict(el *list.Element, e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] == el && el.Value == e {
+		c.order.Remove(el)
+		delete(c.entries, e.key)
 	}
 }
 
@@ -275,7 +314,7 @@ func (c *Cache) Put(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("sim: cache encode: %w", err)
 	}
-	c.putBytes(key, data)
+	c.putEntry(key, data, nil)
 	if c.dir == "" || !c.diskOK.Load() {
 		return nil
 	}
@@ -313,25 +352,28 @@ func (c *Cache) writeDisk(key string, data []byte) error {
 // the in-memory tier only. It is the journal-resume seeding path: a
 // checkpointed cell's bytes go straight back into the cache, so the
 // resumed sweep decodes exactly what the original run computed (JSON
-// round-trips float64 exactly) without touching the disk tier.
+// round-trips float64 exactly) without touching the disk tier. Fabric
+// results land here too. The bytes are decoded by the first Get.
 func (c *Cache) PutEncoded(key string, data []byte) {
-	c.putBytes(key, append([]byte(nil), data...))
+	c.putEntry(key, append([]byte(nil), data...), nil)
 }
 
-func (c *Cache) putBytes(key string, data []byte) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).data = data
-		s.order.MoveToFront(el)
+// putEntry stores bytes and, when the caller has it, their decoded
+// value (nil = decode on first Get), replacing any entry for the key.
+func (c *Cache) putEntry(key string, data []byte, val any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := &cacheEntry{key: key, data: data, val: val}
+	if el, ok := c.entries[key]; ok {
+		el.Value = e
+		c.order.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, data: data})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
+	c.entries[key] = c.order.PushFront(e)
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
 	}
 }
 

@@ -38,6 +38,10 @@ var (
 	// in-flight-deduplicated waiters count one miss per key resolution.
 	CacheHits   = expvar.NewInt("nucache_cache_hits")
 	CacheMisses = expvar.NewInt("nucache_cache_misses")
+	// CacheDecodes counts result-cache JSON decodes: the first Get of
+	// each memory-tier entry, disk read-backs included. Repeated hits on
+	// one key leave it flat.
+	CacheDecodes = expvar.NewInt("nucache_cache_decodes")
 	// CacheQuarantined counts corrupt disk-cache entries moved aside.
 	CacheQuarantined = expvar.NewInt("nucache_cache_quarantined")
 	// CacheChecksumFails counts disk-cache entries whose integrity

@@ -34,29 +34,31 @@ func SimExecutor() fabric.Executor {
 }
 
 // cellFor turns a request into its fabric cell. The spec is the
-// normalized request itself; Key is the same content address the result
-// cache uses, so a remote completion lands exactly where a local one
-// would.
-func cellFor(req Request) fabric.Cell {
+// normalized request itself; key is its job's content address, the one
+// the result cache uses, so a remote completion lands exactly where a
+// local one would.
+func cellFor(req Request, key string) fabric.Cell {
 	spec, _ := json.Marshal(req) // Request is a plain struct; cannot fail
-	return fabric.Cell{Key: req.Key(), Kind: CellKindSim, Spec: spec}
+	return fabric.Cell{Key: key, Kind: CellKindSim, Spec: spec}
 }
 
 // offerSweep makes a sweep's uncached cells available to the fabric
-// pool. Cached cells are marked done so they are never leased.
-func (sv *Server) offerSweep(reqs []Request) {
+// pool. Cached cells are marked done so they are never leased. jobs[i]
+// is reqs[i]'s job, whose Key is the cell's content address.
+func (sv *Server) offerSweep(reqs []Request, jobs []Job) {
 	if sv.coord == nil {
 		return
 	}
 	cache := sv.sched.Cache()
 	cells := make([]fabric.Cell, 0, len(reqs))
 	var done []string
-	for _, req := range reqs {
-		if cache != nil && cache.Contains(req.Key()) {
-			done = append(done, req.Key())
+	for i, req := range reqs {
+		key := jobs[i].Key
+		if cache != nil && cache.Contains(key) {
+			done = append(done, key)
 			continue
 		}
-		cells = append(cells, cellFor(req))
+		cells = append(cells, cellFor(req, key))
 	}
 	sv.coord.Offer(cells)
 	for _, key := range done {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -110,31 +109,22 @@ func TestZeroWorkerDistributedServerIdentical(t *testing.T) {
 }
 
 func TestCacheShardingKeepsSemantics(t *testing.T) {
-	// Large cache: sharded on multicore hosts, but Len and lookup
-	// semantics must be unchanged.
-	c := NewCache(4096, "")
-	if got := len(c.shards); runtime.NumCPU() > 1 && got < 2 {
-		t.Skipf("single shard on %d CPUs", runtime.NumCPU())
-	}
-	total := 0
-	for _, s := range c.shards {
-		total += s.cap
-	}
-	if total != 4096 {
-		t.Fatalf("shard capacities sum to %d, want 4096", total)
-	}
-
+	// The memory tier is one exact LRU at every capacity: a large cache
+	// keeps Len and lookup semantics, and evicts in exact LRU order.
+	c := NewCache(1024, "")
 	type v struct{ N int }
+	key := func(i int) string {
+		return Request{Mix: "mix2-01", Policy: "LRU", Budget: uint64(i + 1)}.Key()
+	}
 	for i := 0; i < 1000; i++ {
-		key := Request{Mix: "mix2-01", Policy: "LRU", Budget: uint64(i + 1)}.Key()
-		if err := c.Put(key, v{N: i}); err != nil {
+		if err := c.Put(key(i), v{N: i}); err != nil {
 			t.Fatal(err)
 		}
-		if !c.Contains(key) {
+		if !c.Contains(key(i)) {
 			t.Fatalf("key %d missing right after Put", i)
 		}
 		var got v
-		if !c.Get(key, &got) || got.N != i {
+		if !c.Get(key(i), &got) || got.N != i {
 			t.Fatalf("key %d: got %+v", i, got)
 		}
 	}
@@ -144,15 +134,26 @@ func TestCacheShardingKeepsSemantics(t *testing.T) {
 	if c.Contains("absent") {
 		t.Fatal("Contains(absent) = true")
 	}
-
-	// Small caches stay single-shard so exact LRU order holds (the
-	// TestCacheHitMissAndLRU contract).
-	if small := NewCache(8, ""); len(small.shards) != 1 {
-		t.Fatalf("cap-8 cache has %d shards, want 1", len(small.shards))
+	// Touch key 0, then overflow by 25: keys 1..25 are the least
+	// recently used and go; key 0 and every later key stay.
+	var got v
+	c.Get(key(0), &got)
+	for i := 1000; i < 1049; i++ {
+		_ = c.Put(key(i), v{N: i})
+	}
+	if c.Len() != 1024 {
+		t.Fatalf("Len = %d after overflow, want 1024", c.Len())
+	}
+	for i := 0; i < 1049; i++ {
+		if want := i == 0 || i > 25; c.Contains(key(i)) != want {
+			t.Fatalf("key %d resident = %v, want %v", i, !want, want)
+		}
 	}
 }
 
 func TestCacheShardedConcurrentAccess(t *testing.T) {
+	// Eight goroutines on disjoint keys of one large cache: nothing
+	// lost, race-clean.
 	c := NewCache(8192, "")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"time"
@@ -83,10 +81,7 @@ func (r ProfileRequest) Canonical() string {
 }
 
 // Key is the hex SHA-256 of Canonical().
-func (r ProfileRequest) Key() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
-	return hex.EncodeToString(sum[:])
-}
+func (r ProfileRequest) Key() string { return contentKey(r.Canonical()) }
 
 // ExecuteProfile runs the profiling pass: acquire (or record) each
 // member's tape and walk it through the MRC profiler. The result is a
@@ -132,12 +127,14 @@ func ExecuteProfile(ctx context.Context, req ProfileRequest) (*mrc.Profile, erro
 	return p, nil
 }
 
-// ProfileJobFor wraps a profile request as a schedulable, cacheable job.
+// ProfileJobFor wraps a profile request as a schedulable, cacheable job
+// keyed by req.Key().
 func ProfileJobFor(req ProfileRequest) Job {
 	req = req.Normalize()
+	canonical := req.Canonical()
 	return Job{
-		Key:     req.Key(),
-		Label:   req.Canonical(),
+		Key:     contentKey(canonical),
+		Label:   canonical,
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		New:     func() any { return new(mrc.Profile) },
 		Run: func(ctx context.Context) (any, error) {

@@ -193,18 +193,24 @@ func (r Request) Canonical() string {
 }
 
 // Key is the request's content address: hex SHA-256 of Canonical().
-func (r Request) Key() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
+func (r Request) Key() string { return contentKey(r.Canonical()) }
+
+// contentKey hashes a canonical preimage into a content address.
+func contentKey(canonical string) string {
+	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
 }
 
 // JobFor wraps a request as a schedulable, cacheable job. The request's
-// TimeoutMS (if any) becomes the job deadline.
+// TimeoutMS (if any) becomes the job deadline. Job.Key is the request's
+// Key(); callers that need the key again take it from the job rather
+// than hashing the request a second time.
 func JobFor(req Request) Job {
 	req = req.Normalize()
+	canonical := req.Canonical()
 	return Job{
-		Key:     req.Key(),
-		Label:   req.Canonical(),
+		Key:     contentKey(canonical),
+		Label:   canonical,
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		New:     func() any { return new(Result) },
 		Run: func(ctx context.Context) (any, error) {

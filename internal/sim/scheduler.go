@@ -26,7 +26,9 @@ type Job struct {
 	Timeout time.Duration
 	// New allocates the pointer a cached result is decoded into. It is
 	// required for cacheable jobs and must match the dynamic type that
-	// Run returns.
+	// Run returns. A cached result shares its slices and maps with the
+	// cache's memory tier (see Cache.Get), so the Outcome.Value of a
+	// cache hit is read-only.
 	New func() any
 	// Run computes the result. The returned value must be
 	// JSON-marshalable when Key is set.
@@ -35,7 +37,8 @@ type Job struct {
 
 // Outcome is one job's result.
 type Outcome struct {
-	// Value is what Run returned, or what the cache decoded.
+	// Value is what Run returned, or what the cache decoded. A cached
+	// Value is read-only: it shares its slices and maps with the cache.
 	Value any
 	// Err is the job error (run failure, panic, deadline, shed load or
 	// cancellation). Classify(Err) recovers the taxonomy kind.

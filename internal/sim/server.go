@@ -122,14 +122,15 @@ func (sv *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	out := sv.sched.Do(r.Context(), JobFor(req))
-	sv.logJob(r, "sim", req, out)
+	job := JobFor(req)
+	out := sv.sched.Do(r.Context(), job)
+	sv.logJob(r, "sim", job.Key, req, out)
 	if out.Err != nil {
 		sv.jobError(w, out.Err)
 		return
 	}
 	writeJSON(w, http.StatusOK, SimResponse{
-		Key:      req.Key(),
+		Key:      job.Key,
 		Cached:   out.Cached,
 		Attempts: out.Attempts,
 		WallNS:   out.Wall.Nanoseconds(),
@@ -137,12 +138,13 @@ func (sv *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// logJob emits one structured log line per job served.
-func (sv *Server) logJob(r *http.Request, route string, req Request, out Outcome) {
+// logJob emits one structured log line per job served; key is the
+// job's content address.
+func (sv *Server) logJob(r *http.Request, route, key string, req Request, out Outcome) {
 	attrs := []any{
 		"route", route,
 		"remote", r.RemoteAddr,
-		"key", req.Key(),
+		"key", key,
 		"bench", req.Bench,
 		"mix", req.Mix,
 		"policy", req.Policy,
@@ -292,7 +294,6 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// remote workers and let each job consult the coordinator before
 	// computing locally. Without one (or with zero workers) the jobs
 	// behave exactly as before.
-	sv.offerSweep(reqs)
 	jobs := make([]Job, len(reqs))
 	for i, req := range reqs {
 		jobs[i] = JobFor(req)
@@ -300,6 +301,7 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			jobs[i] = fabricJob(sv.coord, jobs[i])
 		}
 	}
+	sv.offerSweep(reqs, jobs)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -307,7 +309,7 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	failed := 0
 	writable := true
 	for io := range sv.sched.RunStream(r.Context(), jobs) {
-		sv.logJob(r, "sweep", reqs[io.Index], io.Outcome)
+		sv.logJob(r, "sweep", jobs[io.Index].Key, reqs[io.Index], io.Outcome)
 		if io.Outcome.Err != nil {
 			failed++
 		}
@@ -321,7 +323,7 @@ func (sv *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		ev := SweepEvent{
 			Type: "result", Index: io.Index,
 			Mix: req.Mix, Policy: req.Policy,
-			Key: req.Key(), Cached: io.Outcome.Cached,
+			Key: jobs[io.Index].Key, Cached: io.Outcome.Cached,
 		}
 		if io.Outcome.Err != nil {
 			ev.Error = io.Outcome.Err.Error()
